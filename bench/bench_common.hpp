@@ -142,13 +142,10 @@ struct ThroughputRow {
   std::uint64_t backoffs = 0;       ///< Counter::kTxRetryBackoff
   std::uint64_t escalations = 0;    ///< Counter::kTxEscalated
   /// Schema 5 sharding telemetry (DESIGN.md §11): the store shard count
-  /// the run used, how often a magazine refill was served by a *sibling*
-  /// shard's bins (Counter::kAllocShardSteal), and how many commit stamps
-  /// were adopted from a rival committer's clock CAS instead of minted
-  /// (Counter::kClockStampShared — only the TL2 family mints stamps).
+  /// the run used and how often a magazine refill was served by a
+  /// *sibling* shard's bins (Counter::kAllocShardSteal).
   std::size_t shards = 0;
   std::uint64_t shard_steals = 0;   ///< Counter::kAllocShardSteal
-  std::uint64_t clock_shared = 0;   ///< Counter::kClockStampShared
   /// Schema 7 adaptive-governor telemetry (runtime/adaptive.hpp): epoch
   /// evaluations and adopted tier shifts for the governed cells (zero in
   /// every static-policy cell).
@@ -204,7 +201,6 @@ inline ThroughputRow measure_mix(tm::TmKind kind, const MixParams& p,
   row.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
   row.shards = tmi->heap().shard_count();
   row.shard_steals = tmi->stats().total(rt::Counter::kAllocShardSteal);
-  row.clock_shared = tmi->stats().total(rt::Counter::kClockStampShared);
   row.governor_epochs = tmi->stats().total(rt::Counter::kGovernorEpoch);
   row.governor_shifts =
       tmi->stats().total(rt::Counter::kGovernorPolicyShift);
@@ -237,7 +233,7 @@ inline std::string tm_metrics_json(tm::TransactionalMemory& tmi) {
 /// contention-manager telemetry per row (`retries_per_commit`, `backoffs`,
 /// `escalations` — run_tx_retry now drives every mix worker through the
 /// CM); schema 5 adds the per-row sharding telemetry (`shards`,
-/// `shard_steals`, `clock_shared`), the `shards` knob in the alloc block,
+/// `shard_steals`), the `shards` knob in the alloc block,
 /// and an optional `pr6_baseline` series (the pre-sharding allocator and
 /// clock, re-measured on the same box) for the before/after. Schema 6 adds
 /// the `trace-probe` workload rows (tracing-enabled vs -disabled overhead
@@ -245,7 +241,9 @@ inline std::string tm_metrics_json(tm::TransactionalMemory& tmi) {
 /// pre-rendered rt::to_json document from the traced cell's registry).
 /// Schema 7 adds the adaptive-governor cells (workload `*-adaptive`, one
 /// per backend, retry loops driven by rt::AdaptiveGovernor) and the per-row
-/// `governor_epochs` / `governor_shifts` telemetry.
+/// `governor_epochs` / `governor_shifts` telemetry. Schema 8 drops the
+/// per-row count of shared commit stamps: writer commits always mint their
+/// own fetch_add stamp, so no stamp is ever shared.
 inline bool write_throughput_json(
     const std::string& path, const std::vector<ThroughputRow>& rows,
     const tm::AllocConfig& alloc, const char* baseline_note = nullptr,
@@ -255,7 +253,7 @@ inline bool write_throughput_json(
     const std::string& metrics_json = {}) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"bench\": \"tm_throughput\",\n  \"schema\": 7,\n"
+  out << "{\n  \"bench\": \"tm_throughput\",\n  \"schema\": 8,\n"
       << "  \"alloc\": {\"magazine_size\": " << alloc.magazine_size
       << ", \"batch_depth\": " << alloc.limbo_batch
       << ", \"max_class_size\": " << alloc.max_class_size
@@ -297,7 +295,6 @@ inline bool write_throughput_json(
         << ", \"escalations\": " << r.escalations
         << ", \"shards\": " << r.shards
         << ", \"shard_steals\": " << r.shard_steals
-        << ", \"clock_shared\": " << r.clock_shared
         << ", \"governor_epochs\": " << r.governor_epochs
         << ", \"governor_shifts\": " << r.governor_shifts << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -225,8 +225,7 @@ TracedCell run_traced_cell(const MatrixShape& shape, std::uint64_t seed,
   config.num_registers = 64;
   config.trace.enabled = true;
   // Organic conflict aborts need two transactions racing inside one
-  // validation window, which timesliced threads on a single-core box never
-  // produce — so, like the clock-share probe in bench_tm_throughput, the
+  // validation window, which timesliced threads may never produce — so the
   // traced cell arms a low-rate read-validation abort injection. Injected
   // aborts attribute to the stripe of the access they fired inside, so the
   // heat map, abort-reason plumbing and kTxAbort events all run end to end
@@ -384,8 +383,9 @@ std::vector<ShiftCell> run_shift_schedule(const MatrixShape& shape,
   // the governor's detect-and-shift window (~3 epochs × epoch_commits ops
   // × kShiftEscalateAfter aborts each) inside the storm even at the quick
   // shape; the ops-proportional part keeps the storm a real fraction of
-  // the full-shape phase. Every column exhausts it before the storm phase
-  // ends — the steady phase is injection-free for all four columns.
+  // the full-shape phase. Columns that escalate early spend less of it,
+  // so whatever is left is discarded when the storm ends — the steady
+  // phase is injection-free for all four columns.
   const std::uint64_t storm_budget = 5000 + 3 * shape.ops_per_thread;
 
   // Best-of-2 per column, like every other cell in this bench: the steady
@@ -454,6 +454,10 @@ std::vector<ShiftCell> run_shift_schedule(const MatrixShape& shape,
       std::atomic<std::uint64_t> clock{1};
       const auto storm_result =
           service::run_phase(*tmi, store, cfg, storm, seed + rep * 2, clock);
+      // The steady phase reuses the storm's registry slots, so end the
+      // storm explicitly: a slot whose budget the storm left unspent would
+      // otherwise inject into the steady phase.
+      tmi->fault().exhaust_budgets();
       const auto steady_result = service::run_phase(*tmi, store, cfg, steady,
                                                     seed + rep * 2 + 1, clock);
 

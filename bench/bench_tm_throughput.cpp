@@ -353,9 +353,6 @@ struct MatrixResult {
   /// smoke asserts the sibling-steal tier actually served refills there
   /// (> 0 in --quick; see DESIGN.md §11).
   std::uint64_t churn_shard_steals = 0;
-  /// Σ Counter::kClockStampShared over the clock-share-probe cells — the
-  /// CI smoke asserts the GV4 share path ran end to end (> 0 in --quick).
-  std::uint64_t probe_clock_shared = 0;
   /// Σ Counter::kGovernorEpoch over the adaptive cells — the CI smoke
   /// asserts the governor actually evaluated epochs there (> 0 in --quick;
   /// see DESIGN.md §14).
@@ -449,8 +446,6 @@ MatrixResult run_matrix(bool quick) {
           r.shards = tmi->heap().shard_count();
           r.shard_steals =
               tmi->stats().total(rt::Counter::kAllocShardSteal);
-          r.clock_shared =
-              tmi->stats().total(rt::Counter::kClockStampShared);
           r.ops_per_sec =
               secs > 0.0
                   ? static_cast<double>(threads) * cell.rounds / secs
@@ -469,64 +464,6 @@ MatrixResult run_matrix(bool quick) {
                   << " abort_rate=" << r.abort_rate << "\n";
       }
     }
-  }
-
-  // GV4 clock-share probe: organic stamp sharing needs two committers
-  // inside one load→CAS window, which timesliced threads on a
-  // single-core box never produce — so the probe cells arm the
-  // kClockAdvance fault site at a low rate (a staged rival advancing the
-  // clock for real, the same state transition a concurrent committer
-  // causes) and drive the write-heavy mix through it. The row's
-  // clock_shared then tracks the share path end to end on any box;
-  // ops_per_sec carries the fault-injection overhead and is NOT
-  // comparable with the unfaulted write-heavy cells.
-  for (const tm::TmKind kind : {tm::TmKind::kTl2, tm::TmKind::kTl2Fused}) {
-    MixParams p;
-    p.threads = 2;
-    p.read_pct = kWriteHeavy.read_pct;
-    p.registers = kWriteHeavy.registers;
-    p.txn_size = kWriteHeavy.txn_size;
-    p.txns_per_thread = quick ? 500 : 4000;
-    tm::TmConfig config;
-    config.num_registers = p.registers;
-    config.fault.cas_loss_permille = 20;  // ~2% of writer commits staged
-    config.fault.sites = rt::fault_site_bit(rt::FaultSite::kClockAdvance);
-    auto tmi = tm::make_tm(kind, config);
-    const auto start = std::chrono::steady_clock::now();
-    const std::uint64_t committed = run_mix_phase(*tmi, p, /*seed=*/11);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    ThroughputRow r;
-    r.backend = tm::tm_kind_name(kind);
-    r.workload = "clock-share-probe";
-    r.threads = p.threads;
-    r.read_pct = p.read_pct;
-    r.registers = p.registers;
-    r.txn_size = p.txn_size;
-    r.commits = tmi->stats().total(rt::Counter::kTxCommit);
-    r.aborts = tmi->stats().total(rt::Counter::kTxAbort);
-    const double attempts = static_cast<double>(r.commits + r.aborts);
-    r.abort_rate =
-        attempts > 0.0 ? static_cast<double>(r.aborts) / attempts : 0.0;
-    r.retries_per_commit =
-        r.commits > 0
-            ? static_cast<double>(r.aborts) / static_cast<double>(r.commits)
-            : 0.0;
-    r.backoffs = tmi->stats().total(rt::Counter::kTxRetryBackoff);
-    r.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
-    r.shards = tmi->heap().shard_count();
-    r.shard_steals = tmi->stats().total(rt::Counter::kAllocShardSteal);
-    r.clock_shared = tmi->stats().total(rt::Counter::kClockStampShared);
-    r.ops_per_sec =
-        secs > 0.0 ? static_cast<double>(committed) / secs : 0.0;
-    result.probe_clock_shared += r.clock_shared;
-    rows.push_back(r);
-    std::cout << "matrix clock-share-probe backend=" << r.backend
-              << " threads=" << r.threads
-              << " clock_shared=" << r.clock_shared
-              << " ops/s=" << r.ops_per_sec << "\n";
   }
 
   // Adaptive-governor column: the write-heavy contended mix re-run with
@@ -765,14 +702,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "shard steals across mixed-churn cells: "
             << result.churn_shard_steals << "\n";
-  // GV4 share-path gate: the staged-rival probe cells must adopt stamps.
-  if (quick && result.probe_clock_shared == 0) {
-    std::cerr << "FAIL: the clock-share probe cells adopted no stamps "
-                 "(kClockStampShared == 0)\n";
-    return 1;
-  }
-  std::cout << "clock stamps shared across probe cells: "
-            << result.probe_clock_shared << "\n";
   // Adaptive-governor gate: the governed cells must actually evaluate
   // epochs — zero means the retry loop stopped feeding the governor (or
   // note_commit stopped triggering evaluations), i.e. the feedback loop

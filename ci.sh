@@ -27,6 +27,16 @@ cmake --build build -j"$(nproc)"
 
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# End-to-end benchmark smoke (bench/e2e, the benchmark BENCHMARK.json
+# declares): builds e2e_bench against the library in its own build-e2e/
+# tree and runs every workload for a 1 s window. It exits nonzero when the
+# build breaks or a run fails a correctness gate (inconsistent payload,
+# an empty sweep, a failed audit, busy share below 0.85). SKIP_E2E=1 skips
+# it for quick local iterations.
+if [[ "${SKIP_E2E:-0}" != "1" ]]; then
+  bash bench/e2e/run.sh --smoke
+fi
+
 # Smoke-run the throughput matrix (writes BENCH_tm_throughput.quick.json;
 # the committed full matrix comes from a run without --quick). The quick
 # run also self-asserts that the alloc-free / mixed-churn cells retired at

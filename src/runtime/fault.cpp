@@ -16,8 +16,6 @@ const char* fault_site_name(FaultSite site) noexcept {
       return "fence";
     case FaultSite::kAllocRefill:
       return "alloc_refill";
-    case FaultSite::kClockAdvance:
-      return "clock_advance";
   }
   return "?";
 }
@@ -70,6 +68,10 @@ void FaultInjector::suspend(std::size_t slot) noexcept {
 
 void FaultInjector::resume(std::size_t slot) noexcept {
   if (streams_[slot]->suspend_depth != 0) --streams_[slot]->suspend_depth;
+}
+
+void FaultInjector::exhaust_budgets() noexcept {
+  for (auto& s : streams_) s->injected = config_.max_per_thread;
 }
 
 std::uint64_t FaultInjector::injected(FaultSite site) const noexcept {

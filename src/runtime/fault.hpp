@@ -51,10 +51,9 @@ enum class FaultSite : std::uint8_t {
   kCommit,           ///< commit entry and the locked write-back window
   kFence,            ///< quiescence fence entry (FenceSession::do_fence)
   kAllocRefill,      ///< allocator central-lock shared-refill path
-  kClockAdvance,     ///< commit-stamp mint: the GV4 clock-CAS window
 };
 
-inline constexpr std::size_t kFaultSiteCount = 6;
+inline constexpr std::size_t kFaultSiteCount = 5;
 
 const char* fault_site_name(FaultSite site) noexcept;
 
@@ -124,6 +123,12 @@ class FaultInjector {
   /// Used by the serial gate so the irrevocable thread cannot be faulted.
   void suspend(std::size_t slot) noexcept;
   void resume(std::size_t slot) noexcept;
+
+  /// End a budgeted fault storm: mark every slot's max_per_thread budget
+  /// as spent, so sessions that later reuse those registry slots run
+  /// clean. Call only while no session injects. No effect without a
+  /// budget (max_per_thread == 0 means unlimited).
+  void exhaust_budgets() noexcept;
 
   /// Faults injected at `site` across all slots (tests / site-map reports).
   std::uint64_t injected(FaultSite site) const noexcept;

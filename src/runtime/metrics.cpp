@@ -46,8 +46,6 @@ const char* counter_prom_name(Counter c) noexcept {
       return "tx_escalations";
     case Counter::kFaultInjected:
       return "faults_injected";
-    case Counter::kClockStampShared:
-      return "clock_stamps_shared";
     case Counter::kAllocShardSteal:
       return "alloc_shard_steals";
     case Counter::kGovernorEpoch:

@@ -44,8 +44,6 @@ const char* counter_name(Counter c) noexcept {
       return "tx_escalated";
     case Counter::kFaultInjected:
       return "faults_injected";
-    case Counter::kClockStampShared:
-      return "clock_stamps_shared";
     case Counter::kAllocShardSteal:
       return "alloc_shard_steals";
     case Counter::kGovernorEpoch:

@@ -47,10 +47,6 @@ enum class Counter : std::size_t {
                         ///< serial mode (rt::SerialGate)
   kFaultInjected,       ///< faults injected by rt::FaultInjector (spurious
                         ///< aborts + lost CASes + bounded delays, all sites)
-  kClockStampShared,    ///< commit stamps adopted from another committer's
-                        ///< CAS (GlobalClock::advance_if_stale share
-                        ///< branch) instead of minted by our own RMW —
-                        ///< each one is a clock cache-line transfer saved
   kAllocShardSteal,     ///< magazine refills served by a *sibling* shard's
                         ///< bins after the home shard came up empty —
                         ///< sharding working as designed (a steal is still

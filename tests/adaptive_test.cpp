@@ -304,9 +304,19 @@ TEST(AdaptiveService, StormShiftEndToEndKeepsConsistency) {
   std::atomic<std::uint64_t> clock{1};
   const auto storm_result =
       service::run_phase(*tmi, store, cfg, storm, /*seed=*/99, clock);
+
+  // The budget is per registry slot, and the steady phase's workers and
+  // sweeper reuse the storm's slots. The storm need not spend every slot's
+  // budget (escalated attempts run uninjected), and an unspent slot would
+  // keep aborting every read into the steady phase and hold the governor
+  // on the storm tier — so end the storm explicitly.
+  tmi->fault().exhaust_budgets();
+  const std::uint64_t storm_injected = tmi->fault().injected_total();
   const auto steady_result =
       service::run_phase(*tmi, store, cfg, steady, /*seed=*/100, clock);
 
+  EXPECT_EQ(tmi->fault().injected_total(), storm_injected)
+      << "the steady phase must run with the storm's budget spent";
   EXPECT_EQ(storm_result.consistency_violations, 0u);
   EXPECT_EQ(steady_result.consistency_violations, 0u);
   EXPECT_GT(storm_result.governor_epochs, 0u);

@@ -1,19 +1,20 @@
 // The PR 7 sharding layer (DESIGN.md §11): the per-shard allocator free
 // store (home-bin refill, sibling stealing, bounded incremental
-// compaction), the GV4-batched / sharded-sample commit clock, and the
+// compaction), the commit clock under concurrency, and the
 // region-partitioned stripe table. alloc_test.cpp covers the magazine and
 // limbo machinery; this file pins what PR 7 added around it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "runtime/fault.hpp"
-#include "runtime/global_clock.hpp"
 #include "runtime/stripe_table.hpp"
 #include "tm/alloc/size_class.hpp"
 #include "tm/factory.hpp"
+#include "tm/tl2.hpp"
+#include "tm/tl2_fused.hpp"
 
 namespace privstm {
 namespace {
@@ -208,97 +209,24 @@ TEST(AllocShardBins, SpillResumesMidClassAcrossBudgetedSteps) {
 }
 
 // ---------------------------------------------------------------------------
-// GV4 commit-batch clock.
+// Commit clock under concurrency.
 // ---------------------------------------------------------------------------
 
-TEST(ClockGv4, AdvanceFromSharesOnStaleSeen) {
-  rt::GlobalClock clock;
-  bool shared = true;
-  // Fresh seen: the CAS wins and mints seen+1.
-  EXPECT_EQ(clock.advance_from(0, shared), 1u);
-  EXPECT_FALSE(shared);
-  // Stale seen (another committer "won"): the failed CAS's reloaded value
-  // is adopted instead of retrying — the deterministic share seam.
-  EXPECT_EQ(clock.advance_from(0, shared), 1u);
-  EXPECT_TRUE(shared);
-  EXPECT_EQ(clock.sample(), 1u) << "sharing must not advance the clock";
-  // And a fresh seen mints again.
-  EXPECT_EQ(clock.advance_from(1, shared), 2u);
-  EXPECT_FALSE(shared);
-}
-
-TEST(ClockGv4, BatchedIsIdenticalToFetchAddWithoutContention) {
-  rt::GlobalClock fetch_add;
-  rt::GlobalClock batched;
-  for (int i = 0; i < 100; ++i) {
-    bool shared = true;
-    EXPECT_EQ(fetch_add.advance(), batched.advance_if_stale(shared));
-    EXPECT_FALSE(shared) << "an uncontended CAS never shares";
-  }
-  EXPECT_EQ(fetch_add.sample(), batched.sample());
-}
-
-TEST(ClockSharded, SampleCellsTrailUntilPublishedOrRefreshed) {
-  rt::GlobalClock clock;
-  clock.advance();
-  clock.advance();
-  // Cells only move when a committer publishes or an aborter refreshes.
-  EXPECT_EQ(clock.sample_sharded(0), 0u);
-  clock.publish_sharded(0, 2);
-  EXPECT_EQ(clock.sample_sharded(0), 2u);
-  EXPECT_EQ(clock.sample_sharded(1), 0u) << "cells are independent";
-  clock.refresh_sharded(1);
-  EXPECT_EQ(clock.sample_sharded(1), 2u);
-  clock.reset();
-  EXPECT_EQ(clock.sample(), 0u);
-  EXPECT_EQ(clock.sample_sharded(0), 0u);
-  EXPECT_EQ(clock.sample_sharded(1), 0u);
-}
-
-TEST(ClockSharded, StaleSampleAbortsOnceThenRefreshRecovers) {
-  // Backend-level determinism of kShardedSample: a session whose sample
-  // cell trails the clock aborts (spuriously but safely) on its first
-  // read of a fresher version; the abort refreshes its cell and the retry
-  // succeeds. Exercises tx-begin sampling, commit publishing and the
-  // abort-path refresh on both TL2 backends.
-  for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
-    tm::TmConfig config;
-    config.clock_mode = rt::ClockMode::kShardedSample;
-    auto tmi = tm::make_tm(kind, config);
-    auto writer = tmi->make_thread(0, nullptr);   // sample cell 0
-    auto reader = tmi->make_thread(1, nullptr);   // sample cell 1
-
-    ASSERT_TRUE(writer->tx_begin());
-    ASSERT_TRUE(writer->tx_write(0, 7));
-    ASSERT_EQ(writer->tx_commit(), tm::TxResult::kCommitted);
-
-    // The reader's cell still holds 0, so rver = 0 < the write's stamp.
-    ASSERT_TRUE(reader->tx_begin());
-    tm::Value v = 0;
-    EXPECT_FALSE(reader->tx_read(0, v))
-        << tm::tm_kind_name(kind) << ": stale rver must abort the read";
-    // The abort refreshed the cell; the retry validates and commits.
-    ASSERT_TRUE(reader->tx_begin());
-    ASSERT_TRUE(reader->tx_read(0, v));
-    EXPECT_EQ(v, 7) << tm::tm_kind_name(kind);
-    EXPECT_EQ(reader->tx_commit(), tm::TxResult::kCommitted);
-  }
-}
-
-TEST(ClockSharded, ConcurrentCountersStayExactUnderSampledBegins) {
-  // Safety under real concurrency: stale rvers may add aborts but never
-  // admit a torn or stale read — per-thread counters over shared cells
-  // must end exact.
+/// Racing read-modify-write transactions over shared cells on the default
+/// config must end exact, and because every writer commit mints its stamp
+/// with fetch_add, no two committed writers on any threads share a wver.
+template <typename TmClass>
+void check_concurrent_counters_and_stamps() {
   constexpr int kThreads = 4;
   constexpr int kIncrements = 2000;
   tm::TmConfig config;
-  config.clock_mode = rt::ClockMode::kShardedSample;
-  auto tmi = make_tm_with(config);
+  config.collect_timestamps = true;
+  TmClass tmi(config);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto session = tmi->make_thread(static_cast<hist::ThreadId>(t),
-                                      nullptr);
+      auto session =
+          tmi.make_thread(static_cast<hist::ThreadId>(t), nullptr);
       for (int i = 0; i < kIncrements; ++i) {
         tm::run_tx_retry(*session, [](tm::TxScope& tx) {
           tx.write(0, tx.read(0) + 1);
@@ -308,48 +236,22 @@ TEST(ClockSharded, ConcurrentCountersStayExactUnderSampledBegins) {
     });
   }
   for (auto& th : threads) th.join();
-  auto session = tmi->make_thread(kThreads, nullptr);
-  tm::Value a = 0;
-  tm::Value b = 0;
-  // Retry the verification read: a fresh session's shard sample may trail
-  // the storm's last commits, and a stale sample aborts spuriously by
-  // design (smaller rver, never a stale admit) — one-sidedness is what
-  // the assertions below actually pin.
-  tm::run_tx_retry(*session, [&](tm::TxScope& tx) {
-    a = tx.read(0);
-    b = tx.read(1);
-  });
-  EXPECT_EQ(a, kThreads * kIncrements);
-  EXPECT_EQ(b, kThreads * kIncrements);
+  EXPECT_EQ(tmi.peek(0), kThreads * kIncrements) << tmi.name();
+  EXPECT_EQ(tmi.peek(1), kThreads * kIncrements) << tmi.name();
+
+  std::vector<std::uint64_t> wvers;
+  for (const tm::TxnStamp& stamp : tmi.timestamp_log()) {
+    if (stamp.committed && stamp.has_wver) wvers.push_back(stamp.wver);
+  }
+  ASSERT_EQ(wvers.size(), std::size_t{kThreads} * kIncrements) << tmi.name();
+  std::sort(wvers.begin(), wvers.end());
+  EXPECT_EQ(std::adjacent_find(wvers.begin(), wvers.end()), wvers.end())
+      << tmi.name() << ": two committed writers shared a wver";
 }
 
-TEST(ClockContention, SharedStampCounterFiresWhenRivalWinsTheCasWindow) {
-  // Under kBatched a committer that loses the clock CAS adopts the
-  // winner's stamp and Counter::kClockStampShared ticks. Two commits
-  // never overlap inside the load→CAS window on a single-core box, so
-  // the contended branch is staged deterministically instead: the
-  // kClockAdvance fault site advances the clock for real between the
-  // committer's load and CAS (exactly what a rival disjoint-write-set
-  // committer does), and the genuine share path — counter included —
-  // runs on every writer commit.
-  for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
-    tm::TmConfig config;  // clock_mode defaults to kBatched
-    config.fault.cas_loss_permille = 1000;
-    config.fault.sites = rt::fault_site_bit(rt::FaultSite::kClockAdvance);
-    auto tmi = tm::make_tm(kind, config);
-    auto session = tmi->make_thread(0, nullptr);
-    constexpr std::uint64_t kCommits = 32;
-    for (std::uint64_t i = 0; i < kCommits; ++i) {
-      tm::run_tx_retry(*session, [&](tm::TxScope& tx) {
-        tx.write(static_cast<hist::RegId>(i % 8), 1);
-      });
-    }
-    EXPECT_EQ(tmi->stats().total(rt::Counter::kClockStampShared), kCommits)
-        << tm::tm_kind_name(kind)
-        << ": every staged-rival commit must adopt the rival's stamp";
-    EXPECT_EQ(tmi->fault().injected(rt::FaultSite::kClockAdvance), kCommits)
-        << tm::tm_kind_name(kind);
-  }
+TEST(ClockFetchAdd, ConcurrentCountersStayExactWithDistinctStamps) {
+  check_concurrent_counters_and_stamps<tm::Tl2>();
+  check_concurrent_counters_and_stamps<tm::Tl2Fused>();
 }
 
 // ---------------------------------------------------------------------------
@@ -400,12 +302,19 @@ TEST(StripeRegion, CachedGeometryMatchesIndexOf) {
 }
 
 TEST(StripeRegion, EffectiveRegionsDefaultToAllocShards) {
+  // Both TL2 backends build their stripe table with one region per
+  // effective allocator shard.
   tm::TmConfig config;
   config.alloc.shards = 8;
-  EXPECT_EQ(config.effective_stripe_regions(), 8u);
-  config.stripe_regions = 2;
-  EXPECT_EQ(config.effective_stripe_regions(), 2u)
-      << "an explicit region count must win over the shard default";
+  const rt::StripeTable expected(config.lock_stripes, 8);
+  ASSERT_EQ(expected.region_count(), 8u);
+  for (TmKind kind : {TmKind::kTl2, TmKind::kTl2Fused}) {
+    auto tmi = tm::make_tm(kind, config);
+    for (hist::RegId loc = 0; loc < 4096; loc += 5) {
+      ASSERT_EQ(tmi->stripe_of(loc), expected.index_of(loc))
+          << tm::tm_kind_name(kind) << " loc=" << loc;
+    }
+  }
 }
 
 }  // namespace

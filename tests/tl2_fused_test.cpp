@@ -1,11 +1,10 @@
-// Tl2Fused-specific tests: the fused VersionedLock word, the GV4-style
-// clock, epoch-tagged membership across aborts, the read-only commit fast
-// path, per-thread stamp buffers, and the reset() contract — everything the
-// fused fast path changed relative to the faithful Fig 9 backend.
+// Tl2Fused-specific tests: the fused VersionedLock word, epoch-tagged
+// membership across aborts, the read-only commit fast path, per-thread
+// stamp buffers, and the reset() contract — everything the fused fast path
+// changed relative to the faithful Fig 9 backend.
 #include <gtest/gtest.h>
 
 #include "history/recorder.hpp"
-#include "runtime/global_clock.hpp"
 #include "runtime/versioned_lock.hpp"
 #include "tm/tl2.hpp"
 #include "tm/tl2_fused.hpp"
@@ -72,15 +71,6 @@ TEST(VersionedLockTest, RestoreRecoversPreLockVersionOnAbort) {
   const auto w = vl.load();
   EXPECT_FALSE(VersionedLock::is_locked(w));
   EXPECT_EQ(VersionedLock::version_of(w), 9u);
-}
-
-TEST(GlobalClockTest, AdvanceIfStaleIsMonotone) {
-  rt::GlobalClock clock;
-  EXPECT_EQ(clock.advance_if_stale(), 1u);  // uncontended: plain advance
-  EXPECT_EQ(clock.advance_if_stale(), 2u);
-  EXPECT_EQ(clock.advance(), 3u);
-  EXPECT_EQ(clock.advance_if_stale(), 4u);
-  EXPECT_EQ(clock.sample(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,6 +209,7 @@ void check_reset_restores_stats_and_ordinals() {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].ordinal, 0u);
   EXPECT_EQ(log[0].thread, 0u);
+  EXPECT_EQ(log[0].wver, 1u) << "reset must restart the global clock";
 }
 
 TEST(Tl2FusedTest, ResetRestoresStatsAndOrdinals) {

@@ -40,7 +40,8 @@ struct RecordedTl2Run {
 /// Run a random transactional workload on a TL2-family backend with stamps
 /// and recording; map history transactions to stamps via per-thread
 /// ordinals. Both backends must uphold the same INV.5 invariants — the
-/// fused fast path (VersionedLock words, GV4 stamp sharing) included.
+/// fused fast path (VersionedLock words, clock-free read-only commits)
+/// included.
 template <typename TmClass>
 RecordedTl2Run run_workload(std::size_t threads, std::size_t txns,
                             std::uint64_t seed) {
