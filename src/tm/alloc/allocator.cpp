@@ -98,22 +98,35 @@ TxHandle TxAllocator::alloc(std::size_t n) {
     if (r.cls != kHugeClass) {
       auto& mag = cache->mags_[r.cls];
       if (!mag.empty()) {
-        // The whole fast path: two thread-local vector ops, no lock.
-        const RegId base = mag.back();
+        // The whole fast path: two thread-local vector ops, no lock, plus
+        // the vinit restore of a recycled block.
+        const RegId entry = mag.back();
         mag.pop_back();
         CacheCounters::bump(cache->counters_.allocs);
         CacheCounters::bump(cache->counters_.magazine_hits);
-        return TxHandle{base, static_cast<std::uint32_t>(n)};
+        return hand_out(entry, n);
       }
     }
   }
-  const RegId base = alloc_slow(cache, r.cls, r.storage);
+  const RegId entry = alloc_slow(cache, r.cls, r.storage);
   if (cache != nullptr) {
     CacheCounters::bump(cache->counters_.allocs);
   } else {
     base_allocs_.fetch_add(1, std::memory_order_relaxed);
   }
-  return TxHandle{base, static_cast<std::uint32_t>(n)};
+  return hand_out(entry, n);
+}
+
+TxHandle TxAllocator::hand_out(RegId entry, std::size_t n) {
+  if ((entry & kBumpFresh) != 0) {
+    return TxHandle{entry & ~kBumpFresh, static_cast<std::uint32_t>(n)};
+  }
+  // A recycled block still holds its last owner's values. Cells past `n`
+  // stay stale: they are unreachable through this handle, and whoever is
+  // handed them later restores them then.
+  static_assert(hist::kVInit == 0, "memset restores vinit");
+  std::memset(static_cast<void*>(cells_ + entry), 0, n * sizeof(Value));
+  return TxHandle{entry, static_cast<std::uint32_t>(n)};
 }
 
 std::size_t TxAllocator::take_from_shards(std::size_t home,
@@ -251,7 +264,9 @@ RegId TxAllocator::alloc_slow(ThreadCache* cache, std::size_t cls,
         if (got > 0) break;  // the prefetch is optional…
         std::abort();        // …the request is not (configuration error)
       }
-      b = static_cast<RegId>(bump_);
+      // Tagged: bump cells were never written since the mmap or the last
+      // reset(), so hand_out skips their restore.
+      b = static_cast<RegId>(bump_) | kBumpFresh;
       bump_ += storage;
     }
     if (first == hist::kNoReg) {
@@ -289,16 +304,12 @@ std::size_t TxAllocator::retire_limbo_locked() {
         static_cast<std::uint32_t>(limbo_.batches_retired() - batches_before),
         static_cast<std::uint64_t>(n));
   }
-  // Pass 1 (no shard locks): restore cells, route huge blocks straight to
-  // the extent map, and note which shards the binned blocks belong to.
+  // Pass 1 (no shard locks): route huge blocks straight to the extent
+  // map and note which shards the binned blocks belong to. Cells keep
+  // their stale values; hand_out restores vinit when a block leaves the
+  // allocator, off this lock.
   std::uint64_t shard_mask = 0;
   for (const LimboBlock& b : retired_) {
-    const auto base = static_cast<std::size_t>(b.base);
-    // Recycled cells must read as vinit again: a fresh-from-bump block
-    // and a recycled one are indistinguishable to transactions.
-    for (std::uint32_t i = 0; i < b.storage; ++i) {
-      cells_[base + i].store(hist::kVInit, std::memory_order_relaxed);
-    }
     if (b.cls == kHugeClass) {
       extents_.insert(b.base, b.storage);
     } else {
@@ -466,8 +477,8 @@ void TxAllocator::flush_cache(ThreadCache& cache, bool into_store) {
     for (std::size_t c = 0; c < kNumClasses; ++c) {
       // Magazine blocks already passed their grace period — straight
       // back into their home shards' class bins.
-      for (const RegId base : cache.mags_[c]) {
-        put_shared_locked(base, class_size(c), c);
+      for (const RegId entry : cache.mags_[c]) {
+        put_shared_locked(entry & ~kBumpFresh, class_size(c), c);
       }
       cache.mags_[c].clear();
     }

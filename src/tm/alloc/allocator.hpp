@@ -110,10 +110,17 @@ inline constexpr std::size_t kRefillCellBudget = 512;
 /// more coalescing runs — and counts — several bounded steps.
 inline constexpr std::size_t kCompactionSpillBudget = 64;
 
+/// Tag on a magazine entry (and on alloc_slow's result) whose block came
+/// straight from the bump pointer: its cells are still vinit, so handing
+/// it out skips the restore. Location ids stay below this bit (heap.hpp
+/// static_asserts TxHeap::kMaxLocations against it).
+inline constexpr RegId kBumpFresh = RegId{1} << 30;
+
 class TxAllocator {
  public:
   /// Manages location ids [static_prefix, max_locations); `cells` is the
-  /// heap's value arena (retired blocks are restored to vinit in place).
+  /// heap's value arena (alloc restores a recycled block to vinit in
+  /// place as it hands it out).
   /// `qm` issues the reclamation grace periods. All three outlive the
   /// allocator (the owning TxHeap / TM instance holds them).
   TxAllocator(std::size_t static_prefix, std::size_t max_locations,
@@ -229,9 +236,16 @@ class TxAllocator {
     s.cell_mirror.store(s.bins.cells(), std::memory_order_relaxed);
   }
 
+  /// Strip `entry`'s kBumpFresh tag, restoring the first `n` cells to
+  /// vinit unless the tag says they already are. Runs on the allocating
+  /// thread with no lock held: the block is private until published.
+  TxHandle hand_out(RegId entry, std::size_t n);
+
   /// Magazine-miss / uncached path: home shard bins → sibling steal →
   /// central tier (see file comment). `cache` may be null (magazines
-  /// disabled).
+  /// disabled). Returns the block's base, tagged kBumpFresh when it came
+  /// from the bump pointer; bump blocks prefetched into the magazine
+  /// carry the same tag.
   RegId alloc_slow(alloc::ThreadCache* cache, std::size_t cls,
                    std::uint32_t storage);
 
@@ -254,8 +268,9 @@ class TxAllocator {
   /// lock held (the shard lock nests under it).
   void put_shared_locked(RegId base, std::uint32_t storage, std::size_t cls);
 
-  /// Retire every elapsed limbo batch: cells back to vinit, blocks
-  /// distributed across the shard bins / extent map. Central lock held.
+  /// Retire every elapsed limbo batch: blocks distributed across the
+  /// shard bins / extent map with their stale cells untouched (hand_out
+  /// restores vinit later), O(1) per block. Central lock held.
   std::size_t retire_limbo_locked();
 
   /// One bounded compaction step: spill ≤ kCompactionSpillBudget blocks

@@ -20,10 +20,13 @@
 // the quarantine, never shorten it.
 //
 // When a batch's grace period elapses its blocks are retired: the list
-// hands them back to the allocator, which restores their cells to vinit
-// and distributes them across the shard bins / the coalescing extent map
-// (allocator.cpp) — so a batch of neighboring small frees can still come
-// back as one large extent.
+// hands them back to the allocator, which distributes them across the
+// shard bins / the coalescing extent map (allocator.cpp) — so a batch of
+// neighboring small frees can still come back as one large extent.
+// Retired cells keep their stale values; the allocator restores vinit
+// when it hands a block out again, on the allocating thread with no lock
+// held (the grace period has elapsed, and the block is private until
+// that thread publishes it).
 //
 // Thread safety: none here — the owning TxAllocator serializes seal and
 // retire under its central lock.
@@ -60,8 +63,9 @@ class LimboList {
   void seal(std::vector<LimboBlock>&& blocks);
 
   /// Retire every batch whose grace period has elapsed, appending its
-  /// blocks to `out` — vinit restoration and shard distribution are the
-  /// calling allocator's job, still under its central lock. Front-first —
+  /// blocks to `out` — shard distribution is the calling allocator's job,
+  /// still under its central lock (vinit restoration waits for hand-out,
+  /// outside it). Front-first —
   /// tickets are issued in nearly monotonic order, so the deque elapses
   /// front-first. Counts one Counter::kLimboBatchRetired per batch (the
   /// caller holds the central lock, which keeps the slot-0 stats cell

@@ -11,7 +11,10 @@
 //    several blocks from the shared `ExtentMap` under the central lock
 //    (one lock acquisition amortized over the whole refill). Magazine
 //    blocks have already passed their grace period — they came out of the
-//    shared store — so caching them privately is trivially safe.
+//    shared store — so caching them privately is trivially safe. Their
+//    cells may still hold stale values: a hit restores vinit as it hands
+//    the block out, except for entries tagged `kBumpFresh` (allocator.hpp),
+//    which came straight from the bump pointer and are already vinit.
 //
 //  * **The free batch** — frees accumulate locally and are sealed into
 //    the shared `LimboList` as one batch with one grace-period ticket

@@ -58,6 +58,8 @@ class TxHeap {
   /// far past any workload here; allocating beyond it aborts
   /// (configuration error, like overflowing the thread registry).
   static constexpr std::size_t kMaxLocations = std::size_t{1} << 22;
+  static_assert(kMaxLocations <= static_cast<std::size_t>(alloc::kBumpFresh),
+                "location ids must leave the allocator's tag bit free");
 
   /// The first `static_prefix` locations are permanently allocated (the
   /// legacy register file; litmus programs address them directly). `qm`

@@ -6,6 +6,7 @@
 // configuration; this file covers the scalable machinery around it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -47,7 +48,9 @@ TEST(AllocSizeClass, TableIsMonotonicWithBoundedOverhead) {
     // is always < 1.5× the request (for n > 1).
     ASSERT_LT(s, n + (n + 1) / 2 + 1) << "class too big for " << n;
     // And it is the SMALLEST sufficient class.
-    if (c > 0) ASSERT_LT(ta::class_size(c - 1), n);
+    if (c > 0) {
+      ASSERT_LT(ta::class_size(c - 1), n);
+    }
   }
   EXPECT_EQ(ta::class_of(ta::kMaxClassSize + 1), ta::kHugeClass);
   EXPECT_EQ(ta::storage_size(ta::kMaxClassSize + 9), ta::kMaxClassSize + 9);
@@ -324,6 +327,216 @@ TEST(AllocChurn, HugeBlocksBypassClassesAndStillRecycle) {
   const TxHandle again = tmi->tm_alloc(huge);
   EXPECT_EQ(again.base, h.base) << "huge extent not recycled exact-size";
 }
+
+// ---------------------------------------------------------------------------
+// Recycled blocks read vinit on every hand-out path. Retire leaves a freed
+// block's cells stale; alloc restores the handle's cells as it hands the
+// block out. Each test writes every cell, frees, lets the grace period
+// pass, and checks the re-allocated block through one specific path.
+// ---------------------------------------------------------------------------
+
+struct NamedConfig {
+  const char* name;
+  tm::AllocConfig alloc;
+};
+
+// Keeps the parameter's printed form (part of each test's listed name)
+// stable, instead of gtest's byte dump of a pointer and padding.
+void PrintTo(const NamedConfig& c, std::ostream* os) { *os << c.name; }
+
+/// A size whose class (384 cells) is past kRefillCellBudget / 2, so a
+/// refill fetches exactly one block and the magazine never prefetches.
+constexpr std::size_t kLoneBlock = 384;
+static_assert(ta::kRefillCellBudget / ta::storage_size(kLoneBlock) == 1);
+
+class AllocVInit : public ::testing::TestWithParam<NamedConfig> {
+ protected:
+  void SetUp() override {
+    tmi_ = make_tm_with(GetParam().alloc);
+    session_ = tmi_->make_thread(0, nullptr);
+  }
+
+  bool cached() const { return GetParam().alloc.magazine_size > 0; }
+
+  /// Write a nonzero value into every cell of `h` and commit.
+  void scribble(TxHandle h) {
+    tm::run_tx_retry(*session_, [&](tm::TxScope& tx) {
+      for (std::uint32_t i = 0; i < h.size; ++i) {
+        tx.write(h.loc(i), 0xdead0000u + i);
+      }
+    });
+  }
+
+  /// Seal this thread's free batch and retire it (no transaction is live,
+  /// so the grace period is vacuous; the scan may need a second pass).
+  void retire_all() {
+    for (int i = 0; i < 8 && tmi_->heap().limbo_size() != 0; ++i) {
+      tmi_->heap().drain_limbo();
+    }
+    ASSERT_EQ(tmi_->heap().limbo_size(), 0u);
+  }
+
+  /// A fresh lone block, filled, freed and retired into the shard bins.
+  TxHandle retired_lone_block() {
+    const TxHandle h = tmi_->tm_alloc(kLoneBlock);
+    scribble(h);
+    tmi_->tm_free(h);
+    retire_all();
+    return h;
+  }
+
+  ::testing::AssertionResult reads_vinit(TxHandle h) const {
+    for (std::uint32_t i = 0; i < h.size; ++i) {
+      const tm::Value v = tmi_->peek(h.loc(i));
+      if (v != hist::kVInit) {
+        return ::testing::AssertionFailure()
+               << "block " << h.base << " cell " << i << " of " << h.size
+               << " reads " << v;
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  std::unique_ptr<tm::TransactionalMemory> tmi_;
+  std::unique_ptr<tm::TmThread> session_;
+};
+
+/// Pin the calling thread's home shard for a scope.
+struct HomeShardPin {
+  explicit HomeShardPin(std::size_t shard) {
+    ta::TxAllocator::bind_home_shard(shard);
+  }
+  ~HomeShardPin() {
+    ta::TxAllocator::bind_home_shard(ta::TxAllocator::kNoHomeShard);
+  }
+};
+
+TEST_P(AllocVInit, MagazineHit) {
+  // Eight class-4 blocks: with magazines on, one refill hands out the
+  // first and caches seven, so seven of the eight re-allocations below
+  // are magazine hits on recycled blocks.
+  constexpr std::size_t kBlocks = 8;
+  std::set<tm::RegId> freed;
+  std::vector<TxHandle> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) blocks.push_back(tmi_->tm_alloc(4));
+  for (TxHandle h : blocks) {
+    scribble(h);
+    freed.insert(h.base);
+    tmi_->tm_free(h);
+  }
+  retire_all();
+  const std::uint64_t hits = tmi_->heap().magazine_hit_count();
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    const TxHandle h = tmi_->tm_alloc(4);
+    EXPECT_TRUE(freed.contains(h.base)) << "not a recycled block";
+    EXPECT_TRUE(reads_vinit(h));
+  }
+  EXPECT_EQ(tmi_->heap().magazine_hit_count() - hits,
+            cached() ? kBlocks - 1 : 0u);
+}
+
+TEST_P(AllocVInit, HomeShardRefill) {
+  const TxHandle h = retired_lone_block();
+  const std::uint64_t steals = tmi_->heap().steal_count();
+  const std::uint64_t refills = tmi_->heap().refill_count();
+  HomeShardPin pin(tmi_->heap().shard_of(h.base));
+  const TxHandle again = tmi_->tm_alloc(kLoneBlock);
+  ASSERT_EQ(again.base, h.base);
+  EXPECT_TRUE(reads_vinit(again));
+  EXPECT_EQ(tmi_->heap().refill_count(), refills + 1);
+  EXPECT_EQ(tmi_->heap().steal_count(), steals);
+}
+
+TEST_P(AllocVInit, SiblingSteal) {
+  const TxHandle h = retired_lone_block();
+  const std::uint64_t steals = tmi_->heap().steal_count();
+  const std::size_t shards = tmi_->heap().shard_count();
+  HomeShardPin pin((tmi_->heap().shard_of(h.base) + 1) % shards);
+  const TxHandle again = tmi_->tm_alloc(kLoneBlock);
+  ASSERT_EQ(again.base, h.base);
+  EXPECT_TRUE(reads_vinit(again));
+  // One shard has no siblings: the same request is a home-shard hit.
+  EXPECT_EQ(tmi_->heap().steal_count(), steals + (shards > 1 ? 1 : 0));
+}
+
+TEST_P(AllocVInit, ExtentSplitAfterCompactionStep) {
+  // Eight adjacent class-4 blocks coalesce, in one compaction step, into
+  // a 32-cell extent that two class-16 requests split between them.
+  std::vector<TxHandle> blocks;
+  for (int i = 0; i < 8; ++i) blocks.push_back(tmi_->tm_alloc(4));
+  std::sort(blocks.begin(), blocks.end(),
+            [](TxHandle a, TxHandle b) { return a.base < b.base; });
+  for (std::size_t i = 1; i < blocks.size(); ++i) {
+    ASSERT_EQ(blocks[i].base, blocks[i - 1].base + 4)
+        << "bump allocation must be contiguous for this scenario";
+  }
+  for (TxHandle h : blocks) {
+    scribble(h);
+    tmi_->tm_free(h);
+  }
+  retire_all();
+  const tm::RegId lo = blocks.front().base;
+  // With magazines on, the split's second half shares the refill with
+  // fresh bump blocks; keep allocating until both halves came back.
+  std::set<tm::RegId> halves;
+  for (int i = 0; i < 8 && halves.size() < 2; ++i) {
+    const TxHandle h = tmi_->tm_alloc(16);
+    EXPECT_TRUE(reads_vinit(h));
+    if (h.base == lo || h.base == lo + 16) halves.insert(h.base);
+  }
+  EXPECT_EQ(halves.size(), 2u) << "the coalesced extent was not reused";
+  EXPECT_EQ(tmi_->heap().compaction_count(), 1u);
+}
+
+TEST_P(AllocVInit, HugeBlock) {
+  // Huge blocks live in the extent map at exact size: reuse one whole,
+  // then split it, then re-merge it and check the tail the split left
+  // stale.
+  constexpr std::size_t kHuge = ta::kMaxClassSize + 100;
+  const TxHandle h = tmi_->tm_alloc(kHuge);
+  scribble(h);
+  tmi_->tm_free(h);
+  retire_all();
+  const TxHandle whole = tmi_->tm_alloc(kHuge);
+  ASSERT_EQ(whole.base, h.base);
+  EXPECT_TRUE(reads_vinit(whole));
+  scribble(whole);
+  tmi_->tm_free(whole);
+  retire_all();
+  const TxHandle front = tmi_->tm_alloc(kHuge - 50);
+  ASSERT_EQ(front.base, h.base);
+  EXPECT_TRUE(reads_vinit(front));
+  tmi_->tm_free(front);
+  retire_all();
+  const TxHandle merged = tmi_->tm_alloc(kHuge);
+  ASSERT_EQ(merged.base, h.base);
+  EXPECT_TRUE(reads_vinit(merged));
+}
+
+TEST_P(AllocVInit, SmallerReuseInTheSameClassLeavesNoStaleTail) {
+  // A block re-allocated at a smaller size in its class reads vinit in
+  // its cells, and the cells past that size — still the first owner's —
+  // read vinit once the block is handed out at full size again.
+  constexpr std::size_t kSmaller = 300;
+  static_assert(ta::class_of(kSmaller) == ta::class_of(kLoneBlock));
+  const TxHandle h = retired_lone_block();
+  const TxHandle small = tmi_->tm_alloc(kSmaller);
+  ASSERT_EQ(small.base, h.base);
+  EXPECT_TRUE(reads_vinit(small));
+  tmi_->tm_free(small);
+  retire_all();
+  const TxHandle full = tmi_->tm_alloc(kLoneBlock);
+  ASSERT_EQ(full.base, h.base);
+  EXPECT_TRUE(reads_vinit(full));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, AllocVInit,
+    ::testing::Values(
+        NamedConfig{"shipped", tm::AllocConfig{}},
+        NamedConfig{"uncached",
+                    {.magazine_size = 0, .limbo_batch = 1, .shards = 1}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace privstm

@@ -180,7 +180,8 @@ TEST_P(HeapOnTm, ConcurrentAllocFreeChurnStaysDisjoint) {
   // re-alloc; no two live blocks may ever overlap, and every commit must
   // see only its own tags (caught by the read-back check). A recycled
   // block handed out while any old transaction could still write it
-  // would fail exactly here.
+  // would fail exactly here, and so would a hand-out path that skipped
+  // the vinit restore.
   constexpr std::size_t kThreads = 4;
   constexpr int kRounds = 200;
   auto tmi = make_default();
@@ -192,6 +193,12 @@ TEST_P(HeapOnTm, ConcurrentAllocFreeChurnStaysDisjoint) {
                                       nullptr);
       for (int round = 0; round < kRounds; ++round) {
         const TxHandle h = tmi->tm_alloc(1 + (t % 3));
+        // Before its first write a new block reads vinit in every cell,
+        // whichever path (magazine, home bin, steal, bump) served it and
+        // whichever thread last wrote it.
+        for (std::uint32_t i = 0; i < h.size; ++i) {
+          if (tmi->peek(h.loc(i)) != hist::kVInit) failed.store(true);
+        }
         const tm::Value tag =
             ((static_cast<tm::Value>(t) + 1) << 32) | (round + 1);
         tm::run_tx_retry(*session, [&](tm::TxScope& tx) {
@@ -219,7 +226,8 @@ TEST_P(HeapOnTm, ConcurrentAllocFreeChurnStaysDisjoint) {
   }
   for (auto& w : workers) w.join();
   EXPECT_FALSE(failed.load())
-      << "a live block was recycled or overlapped another";
+      << "a live block was recycled or overlapped another, or a recycled "
+         "block was handed out with stale cells";
 }
 
 TEST_P(HeapOnTm, TypedAccessorsRoundTrip) {
