@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "lang/litmus.hpp"
-#include "runtime/adaptive.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rng.hpp"
@@ -89,11 +88,8 @@ struct MixParams {
   std::size_t txns_per_thread = 2000;
 };
 
-/// `retry` is forwarded to every worker's run_tx_retry — the default is the
-/// legacy static policy; the adaptive cells pass options carrying a governor.
 inline std::uint64_t run_mix_phase(tm::TransactionalMemory& tmi,
-                                   const MixParams& p, std::uint64_t seed,
-                                   const tm::TxRetryOptions& retry = {}) {
+                                   const MixParams& p, std::uint64_t seed) {
   std::atomic<std::uint64_t> commits{0};
   parallel_phase(p.threads, [&](std::size_t t) {
     auto session = tmi.make_thread(static_cast<hist::ThreadId>(t), nullptr);
@@ -110,7 +106,7 @@ inline std::uint64_t run_mix_phase(tm::TransactionalMemory& tmi,
             tx.write(reg, ((static_cast<hist::Value>(t) + 1) << 40) | ++tag);
           }
         }
-      }, retry);
+      });
       ++local_commits;
     }
     commits.fetch_add(local_commits, std::memory_order_relaxed);
@@ -135,48 +131,30 @@ struct ThroughputRow {
   double abort_rate = 0.0;    ///< aborts / (commits + aborts)
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
-  /// Schema 4 contention-manager telemetry (run_tx_retry, DESIGN.md §10):
-  /// how hard the retry loop worked per successful transaction, and whether
-  /// the irrevocable escape hatch ever fired under this workload.
+  /// Schema 4 retry telemetry (run_tx_retry, DESIGN.md §10): how hard the
+  /// retry loop worked per successful transaction, and whether the
+  /// irrevocable escape hatch ever fired under this workload.
   double retries_per_commit = 0.0;  ///< aborted attempts per commit
-  std::uint64_t backoffs = 0;       ///< Counter::kTxRetryBackoff
   std::uint64_t escalations = 0;    ///< Counter::kTxEscalated
   /// Schema 5 sharding telemetry (DESIGN.md §11): the store shard count
   /// the run used and how often a magazine refill was served by a
   /// *sibling* shard's bins (Counter::kAllocShardSteal).
   std::size_t shards = 0;
   std::uint64_t shard_steals = 0;   ///< Counter::kAllocShardSteal
-  /// Schema 7 adaptive-governor telemetry (runtime/adaptive.hpp): epoch
-  /// evaluations and adopted tier shifts for the governed cells (zero in
-  /// every static-policy cell).
-  std::uint64_t governor_epochs = 0;   ///< Counter::kGovernorEpoch
-  std::uint64_t governor_shifts = 0;   ///< Counter::kGovernorPolicyShift
 };
 
 /// Run one timed mix phase on a fresh TM instance and collect a row.
 /// `base` seeds the TM configuration (num_registers is overridden from the
 /// mix params) — the trace-overhead probe cells pass a trace-enabled base.
-/// When `governor` is non-null the phase runs governed: a fresh
-/// rt::AdaptiveGovernor (bound to this TM's stats/trace domains) is handed
-/// to every worker's retry loop, so the cell measures the closed feedback
-/// loop rather than a static policy.
 inline ThroughputRow measure_mix(tm::TmKind kind, const MixParams& p,
                                  std::uint64_t seed,
-                                 const tm::TmConfig& base = {},
-                                 const rt::GovernorConfig* governor = nullptr) {
+                                 const tm::TmConfig& base = {}) {
   tm::TmConfig config = base;
   config.num_registers = p.registers;
   auto tmi = tm::make_tm(kind, config);
-  std::unique_ptr<rt::AdaptiveGovernor> gov;
-  tm::TxRetryOptions retry;
-  if (governor != nullptr) {
-    gov = std::make_unique<rt::AdaptiveGovernor>(tmi->stats(), *governor,
-                                                 tmi->trace_ptr());
-    retry.governor = gov.get();
-  }
 
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t committed = run_mix_phase(*tmi, p, seed, retry);
+  const std::uint64_t committed = run_mix_phase(*tmi, p, seed);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -197,13 +175,9 @@ inline ThroughputRow measure_mix(tm::TmKind kind, const MixParams& p,
       row.commits > 0 ? static_cast<double>(row.aborts) /
                             static_cast<double>(row.commits)
                       : 0.0;
-  row.backoffs = tmi->stats().total(rt::Counter::kTxRetryBackoff);
   row.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
   row.shards = tmi->heap().shard_count();
   row.shard_steals = tmi->stats().total(rt::Counter::kAllocShardSteal);
-  row.governor_epochs = tmi->stats().total(rt::Counter::kGovernorEpoch);
-  row.governor_shifts =
-      tmi->stats().total(rt::Counter::kGovernorPolicyShift);
   return row;
 }
 
@@ -239,11 +213,11 @@ inline std::string tm_metrics_json(tm::TransactionalMemory& tmi) {
 /// the `trace-probe` workload rows (tracing-enabled vs -disabled overhead
 /// cells) and an optional embedded `metrics` object (`metrics_json`, a
 /// pre-rendered rt::to_json document from the traced cell's registry).
-/// Schema 7 adds the adaptive-governor cells (workload `*-adaptive`, one
-/// per backend, retry loops driven by rt::AdaptiveGovernor) and the per-row
-/// `governor_epochs` / `governor_shifts` telemetry. Schema 8 drops the
-/// per-row count of shared commit stamps: writer commits always mint their
-/// own fetch_add stamp, so no stamp is ever shared.
+/// Schema 8 drops the per-row count of shared commit stamps: writer commits
+/// always mint their own fetch_add stamp, so no stamp is ever shared.
+/// Schema 9 drops the adaptive-governor cells and the per-row `backoffs`,
+/// `governor_epochs` and `governor_shifts` columns: run_tx_retry retries
+/// at once, so there is no governor and no pause to count.
 inline bool write_throughput_json(
     const std::string& path, const std::vector<ThroughputRow>& rows,
     const tm::AllocConfig& alloc, const char* baseline_note = nullptr,
@@ -253,7 +227,7 @@ inline bool write_throughput_json(
     const std::string& metrics_json = {}) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"bench\": \"tm_throughput\",\n  \"schema\": 8,\n"
+  out << "{\n  \"bench\": \"tm_throughput\",\n  \"schema\": 9,\n"
       << "  \"alloc\": {\"magazine_size\": " << alloc.magazine_size
       << ", \"batch_depth\": " << alloc.limbo_batch
       << ", \"max_class_size\": " << alloc.max_class_size
@@ -291,12 +265,9 @@ inline bool write_throughput_json(
         << ", \"abort_rate\": " << r.abort_rate << ", \"commits\": "
         << r.commits << ", \"aborts\": " << r.aborts
         << ", \"retries_per_commit\": " << r.retries_per_commit
-        << ", \"backoffs\": " << r.backoffs
         << ", \"escalations\": " << r.escalations
         << ", \"shards\": " << r.shards
-        << ", \"shard_steals\": " << r.shard_steals
-        << ", \"governor_epochs\": " << r.governor_epochs
-        << ", \"governor_shifts\": " << r.governor_shifts << "}"
+        << ", \"shard_steals\": " << r.shard_steals << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

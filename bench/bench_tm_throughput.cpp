@@ -353,10 +353,6 @@ struct MatrixResult {
   /// smoke asserts the sibling-steal tier actually served refills there
   /// (> 0 in --quick; see DESIGN.md §11).
   std::uint64_t churn_shard_steals = 0;
-  /// Σ Counter::kGovernorEpoch over the adaptive cells — the CI smoke
-  /// asserts the governor actually evaluated epochs there (> 0 in --quick;
-  /// see DESIGN.md §14).
-  std::uint64_t adaptive_epochs = 0;
 };
 
 MatrixResult run_matrix(bool quick) {
@@ -441,7 +437,6 @@ MatrixResult run_matrix(bool quick) {
               r.commits > 0 ? static_cast<double>(r.aborts) /
                                   static_cast<double>(r.commits)
                             : 0.0;
-          r.backoffs = tmi->stats().total(rt::Counter::kTxRetryBackoff);
           r.escalations = tmi->stats().total(rt::Counter::kTxEscalated);
           r.shards = tmi->heap().shard_count();
           r.shard_steals =
@@ -466,40 +461,6 @@ MatrixResult run_matrix(bool quick) {
     }
   }
 
-  // Adaptive-governor column: the write-heavy contended mix re-run with
-  // every worker's retry loop driven by an rt::AdaptiveGovernor (fresh per
-  // cell, bound to the cell's TM) instead of the static default policy —
-  // the closed telemetry feedback loop of DESIGN.md §14 measured next to
-  // the static cells it is chartered to match. Epochs tick on commit
-  // cadence, so governor_epochs > 0 on any box; shifts appear only when
-  // the box produces real contention.
-  {
-    rt::GovernorConfig gcfg;
-    gcfg.epoch_commits = 128;  // several epochs even in the quick cells
-    for (const tm::TmKind kind : tm::all_tm_kinds()) {
-      MixParams p;
-      p.threads = 8;
-      p.read_pct = kWriteHeavy.read_pct;
-      p.registers = kWriteHeavy.registers;
-      p.txn_size = kWriteHeavy.txn_size;
-      p.txns_per_thread = txns;
-      ThroughputRow best =
-          measure_mix(kind, p, /*seed=*/41, tm::TmConfig{}, &gcfg);
-      for (int rep = 1; rep < std::max(repeats - 3, 2); ++rep) {
-        ThroughputRow r =
-            measure_mix(kind, p, 41 + rep, tm::TmConfig{}, &gcfg);
-        if (r.ops_per_sec > best.ops_per_sec) best = r;
-      }
-      best.workload = "write-heavy-adaptive";
-      result.adaptive_epochs += best.governor_epochs;
-      rows.push_back(best);
-      const auto& r = rows.back();
-      std::cout << "matrix write-heavy-adaptive backend=" << r.backend
-                << " threads=" << r.threads << " ops/s=" << r.ops_per_sec
-                << " epochs=" << r.governor_epochs
-                << " shifts=" << r.governor_shifts << "\n";
-    }
-  }
   return result;
 }
 
@@ -702,17 +663,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "shard steals across mixed-churn cells: "
             << result.churn_shard_steals << "\n";
-  // Adaptive-governor gate: the governed cells must actually evaluate
-  // epochs — zero means the retry loop stopped feeding the governor (or
-  // note_commit stopped triggering evaluations), i.e. the feedback loop
-  // is open again.
-  if (quick && result.adaptive_epochs == 0) {
-    std::cerr << "FAIL: the adaptive cells evaluated no governor epochs "
-                 "(kGovernorEpoch == 0)\n";
-    return 1;
-  }
-  std::cout << "governor epochs across adaptive cells: "
-            << result.adaptive_epochs << "\n";
   // Disabled-path overhead gate: with tracing off, the probe cell runs the
   // exact workload of the matrix's write-heavy tl2fused 8-thread cell, so
   // it must land within noise of it — a regression here means the trace

@@ -48,10 +48,6 @@ const char* counter_prom_name(Counter c) noexcept {
       return "faults_injected";
     case Counter::kAllocShardSteal:
       return "alloc_shard_steals";
-    case Counter::kGovernorEpoch:
-      return "governor_epochs";
-    case Counter::kGovernorPolicyShift:
-      return "governor_policy_shifts";
     case Counter::kCount:
       break;
   }

@@ -6,8 +6,8 @@
 // histograms, gauge closures, an optional TraceDomain) and materializes an
 // owning MetricsSnapshot on demand. mark() latches the current counter
 // totals as a baseline so subsequent snapshots report deltas — the shape
-// the adaptive-CM consumer (ROADMAP item 2) and the benches want: "what
-// happened during *this* phase", not since process start.
+// the benches want: "what happened during *this* phase", not since
+// process start.
 //
 // Exporters:
 //  - to_json(): a plain JSON object, embeddable into the BENCH_*.json

@@ -14,7 +14,9 @@ namespace privstm::rt {
 /// report abort rates and fence counts alongside throughput.
 enum class Counter : std::size_t {
   kTxCommit = 0,
-  kTxReadOnlyCommit,  ///< subset of kTxCommit taking the no-clock fast path
+  kTxReadOnlyCommit,  ///< subset of kTxCommit whose transaction wrote
+                      ///< nothing (every backend; on tl2fused these take
+                      ///< the no-clock fast path)
   kTxAbort,
   kTxReadValidationFail,
   kTxLockFail,
@@ -41,8 +43,10 @@ enum class Counter : std::size_t {
                         ///< request cannot be served any other way.
                         ///< Same-size churn must never tick this
                         ///< (asserted in alloc_test).
-  kTxRetryBackoff,      ///< contention-manager pauses taken between retry
-                        ///< attempts (run_tx_retry; kBackoff/kKarma only)
+  kTxRetryBackoff,      ///< pauses between retry attempts. run_tx_retry
+                        ///< retries at once, so nothing ticks it and it
+                        ///< reads 0; kept because bench/e2e reports it
+                        ///< (contention.backoffs_per_kop)
   kTxEscalated,         ///< retry loops that escalated to the irrevocable
                         ///< serial mode (rt::SerialGate)
   kFaultInjected,       ///< faults injected by rt::FaultInjector (spurious
@@ -52,12 +56,6 @@ enum class Counter : std::size_t {
                         ///< sharding working as designed (a steal is still
                         ///< cheaper than falling through to the global
                         ///< extent map)
-  kGovernorEpoch,       ///< adaptive-governor epoch evaluations (one per
-                        ///< epoch_commits committed transactions under a
-                        ///< governed retry loop; runtime/adaptive.hpp)
-  kGovernorPolicyShift,  ///< governor epochs whose decision *changed* the
-                         ///< live CmPolicy tier (adopted after hysteresis,
-                         ///< not merely proposed)
   kCount,
 };
 

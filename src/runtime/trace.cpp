@@ -40,9 +40,6 @@ const char* trace_event_name(TraceEventKind k) noexcept {
     case TraceEventKind::kGraceScanBegin:
     case TraceEventKind::kGraceScanEnd:
       return "grace_scan";
-    case TraceEventKind::kCmBackoffBegin:
-    case TraceEventKind::kCmBackoffEnd:
-      return "cm_backoff";
     case TraceEventKind::kEscalateBegin:
     case TraceEventKind::kEscalateEnd:
       return "escalated";
@@ -66,10 +63,6 @@ const char* trace_event_name(TraceEventKind k) noexcept {
     case TraceEventKind::kSweepRepublishBegin:
     case TraceEventKind::kSweepRepublishEnd:
       return "sweep_republish";
-    case TraceEventKind::kGovernorEpoch:
-      return "governor_epoch";
-    case TraceEventKind::kGovernorPolicyShift:
-      return "governor_shift";
     case TraceEventKind::kCount:
       break;
   }
@@ -81,7 +74,6 @@ TracePhase trace_event_phase(TraceEventKind k) noexcept {
     case TraceEventKind::kTxBegin:
     case TraceEventKind::kFenceBegin:
     case TraceEventKind::kGraceScanBegin:
-    case TraceEventKind::kCmBackoffBegin:
     case TraceEventKind::kEscalateBegin:
     case TraceEventKind::kSweepFreezeBegin:
     case TraceEventKind::kSweepFenceBegin:
@@ -92,7 +84,6 @@ TracePhase trace_event_phase(TraceEventKind k) noexcept {
     case TraceEventKind::kTxAbort:
     case TraceEventKind::kFenceEnd:
     case TraceEventKind::kGraceScanEnd:
-    case TraceEventKind::kCmBackoffEnd:
     case TraceEventKind::kEscalateEnd:
     case TraceEventKind::kSweepFreezeEnd:
     case TraceEventKind::kSweepFenceEnd:

@@ -19,7 +19,7 @@
 //
 //  3. Events are tiny (24-byte POD) and self-describing: a kind, the
 //     producing slot, an 8-bit argument (abort reason), a 32-bit argument
-//     (stripe / bucket / spin count), and a 64-bit argument.
+//     (stripe / bucket / thread count), and a 64-bit argument.
 //
 // Producer discipline: slots 0..kMaxSessionSlots-1 are written only by the
 // thread owning that registry slot (the SPSC contract). kSharedSlot is a
@@ -42,7 +42,7 @@
 namespace privstm::rt {
 
 /// Sentinel stripe index for events with no associated stripe (NOrec has no
-/// stripes; glock has no conflict aborts; CM-requested aborts name none).
+/// stripes; glock has no conflict aborts; body-requested aborts name none).
 inline constexpr std::uint32_t kNoStripe = 0xFFFFFFFFu;
 
 /// Why a transaction aborted. Carried as the 8-bit argument of every
@@ -52,7 +52,7 @@ enum class AbortReason : std::uint8_t {
   kNone = 0,          ///< no abort recorded yet
   kReadValidation,    ///< snapshot/read-set validation failed (genuine)
   kLockFail,          ///< commit-time stripe lock acquisition failed
-  kCmInduced,         ///< explicit tx_abort() (contention manager / user)
+  kCmInduced,         ///< explicit tx_abort() from the body
   kFaultInjected,     ///< rt::FaultInjector fired at this site
   kEscalated,         ///< abort while irrevocably escalated (serial gate)
   kCount,
@@ -71,8 +71,6 @@ enum class TraceEventKind : std::uint8_t {
   kFenceEnd,
   kGraceScanBegin,       ///< elected grace-period scan (a32 = threads waited)
   kGraceScanEnd,
-  kCmBackoffBegin,       ///< contention-manager wait (a32 = spins on End)
-  kCmBackoffEnd,
   kEscalateBegin,        ///< irrevocable serial-gate tenure
   kEscalateEnd,
   kAllocRefill,          ///< shard refill from central extent map (a32 = shard)
@@ -87,11 +85,6 @@ enum class TraceEventKind : std::uint8_t {
   kSweepReclaimEnd,
   kSweepRepublishBegin,
   kSweepRepublishEnd,
-  kGovernorEpoch,        ///< adaptive-governor epoch evaluated (a8 = the
-                         ///< epoch's *candidate* CmPolicy, a32 = abort rate
-                         ///< in permille, a64 = epoch ordinal)
-  kGovernorPolicyShift,  ///< governor adopted a new tier (a8 = new CmPolicy,
-                         ///< a32 = new escalate_after, a64 = epoch ordinal)
   kCount,
 };
 

@@ -78,7 +78,7 @@ SessionStore::PutStatus SessionStore::put(tm::TmThread& session,
       frozen = bucket.frozen(tx);
       if (frozen) return;
       ok = bucket.put_in(tx, key, encode(record), &replaced);
-    }, retry_);
+    });
   }
   if (!ok) {
     session.tm_free(record);  // never published
@@ -121,7 +121,7 @@ SessionStore::GetResult SessionStore::get(tm::TmThread& session,
       result.consistent =
           rkey == key && first == payload_cell(key, result.tag, 0) &&
           last == payload_cell(key, result.tag, result.payload_cells - 1);
-    }, retry_);
+    });
   }
   return result;
 }
@@ -140,7 +140,7 @@ bool SessionStore::touch(tm::TmThread& session, tm::Value key,
       if (!encoded.has_value()) return;
       tx.write(decode(*encoded).loc(1), static_cast<tm::Value>(expiry));
       found = true;
-    }, retry_);
+    });
   }
   return found;
 }
@@ -157,7 +157,7 @@ bool SessionStore::erase(tm::TmThread& session, tm::Value key) {
       frozen = bucket.frozen(tx);
       if (frozen) return;
       found = bucket.erase_in(tx, key, &removed);
-    }, retry_);
+    });
   }
   if (found) session.tm_free(decode(removed));
   return found;

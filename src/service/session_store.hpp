@@ -9,9 +9,9 @@
 //
 // Op protocol: every public operation composes the index probe with the
 // record access in ONE transaction (TxHashMap's *_in API on the caller's
-// TxScope) under run_tx_retry — so the PR 6 contention manager sees the
-// service's true conflict pattern — and checks the bucket's freeze flag
-// first, waiting out privatized maintenance phases.
+// TxScope) under run_tx_retry's default rule — retry at once, then the
+// serial gate — and checks the bucket's freeze flag first, waiting out
+// privatized maintenance phases.
 //
 // The expiry sweep is the paper's privatization idiom as a first-class
 // service operation: per bucket, freeze (agreement) → transactional
@@ -74,20 +74,6 @@ class SessionStore {
 
   SessionStore(const SessionStore&) = delete;
   SessionStore& operator=(const SessionStore&) = delete;
-
-  /// Retry options every operation's transaction runs under (default:
-  /// TxRetryOptions{} — the legacy static policy). Not thread-safe against
-  /// in-flight traffic: configure before serving.
-  void set_retry_options(const tm::TxRetryOptions& options) noexcept {
-    retry_ = options;
-  }
-  /// Attach an adaptive governor (runtime/adaptive.hpp): every op's retry
-  /// loop then consults its live epoch decision per attempt and feeds its
-  /// commit/abort accounting. nullptr detaches.
-  void set_governor(rt::AdaptiveGovernor* governor) noexcept {
-    retry_.governor = governor;
-  }
-  const tm::TxRetryOptions& retry_options() const noexcept { return retry_; }
 
   enum class PutStatus : std::uint8_t { kOk, kFull };
 
@@ -171,7 +157,6 @@ class SessionStore {
   std::vector<std::unique_ptr<adt::TxHashMap>> buckets_;
   unsigned bucket_shift_;
   std::atomic<tm::Value> token_{1};
-  tm::TxRetryOptions retry_{};  ///< per-op retry policy (see set_governor)
 };
 
 }  // namespace privstm::service

@@ -109,16 +109,6 @@ PhaseResult run_phase(tm::TransactionalMemory& tm, SessionStore& store,
   std::vector<WorkerTally> tallies(workers);
   PhaseResult result;
 
-  // Governor-aware phase: attach before the workers start so every op's
-  // retry loop is governed from the first attempt; deltas below report
-  // this phase's epoch activity.
-  std::uint64_t gov_epochs0 = 0, gov_shifts0 = 0;
-  if (cfg.governor != nullptr) {
-    store.set_governor(cfg.governor);
-    gov_epochs0 = cfg.governor->epochs();
-    gov_shifts0 = cfg.governor->shifts();
-  }
-
   std::atomic<std::size_t> workers_done{0};
   rt::SpinBarrier barrier(workers + (with_sweeper ? 1 : 0));
 
@@ -253,11 +243,6 @@ PhaseResult run_phase(tm::TransactionalMemory& tm, SessionStore& store,
   result.sweeps = sweeps;
   result.sweep_scanned = sweep_totals.scanned;
   result.sweep_retired = sweep_totals.retired;
-  if (cfg.governor != nullptr) {
-    result.governor_epochs = cfg.governor->epochs() - gov_epochs0;
-    result.governor_shifts = cfg.governor->shifts() - gov_shifts0;
-    result.governor_policy = cfg.governor->decision().policy;
-  }
   return result;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/adaptive.hpp"
 #include "runtime/latency.hpp"
 #include "runtime/rng.hpp"
 #include "service/session_store.hpp"
@@ -94,11 +93,6 @@ struct WorkloadConfig {
   /// Sweeper cadence: one full-store sweep per this many logical ticks
   /// (0 = no sweeper thread).
   std::uint64_t sweep_every_ticks = 1024;
-  /// When set, run_phase attaches this adaptive governor to the store for
-  /// the phase (SessionStore::set_governor), so every worker's retry loops
-  /// run under its live epoch decisions, and the PhaseResult reports the
-  /// phase's epoch/shift deltas. Not owned; must outlive the phase.
-  rt::AdaptiveGovernor* governor = nullptr;
 };
 
 /// Payload size ladder (cells) the churn rotates through — chosen to hit
@@ -123,12 +117,6 @@ struct PhaseResult {
   /// torn reads or use-after-free corruption. Must be zero; the service
   /// correctness tests assert on it.
   std::uint64_t consistency_violations = 0;
-  /// Adaptive-governor activity during the phase (zero when ungoverned):
-  /// epoch evaluations, adopted tier shifts, and the policy live when the
-  /// phase's traffic drained.
-  std::uint64_t governor_epochs = 0;
-  std::uint64_t governor_shifts = 0;
-  rt::CmPolicy governor_policy = rt::CmPolicy::kImmediate;
   double seconds = 0.0;
   std::uint64_t throughput_ops() const noexcept {
     std::uint64_t total = 0;

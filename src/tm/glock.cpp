@@ -97,6 +97,10 @@ TxResult GlobalLockThread::tx_commit() {
   tm_.mutex_.unlock();
   rec_.response(ActionKind::kCommitted);
   tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kTxCommit);
+  if (wset_.empty()) {
+    tm_.stats().add(static_cast<std::size_t>(slot_.slot()),
+                    Counter::kTxReadOnlyCommit);
+  }
   trace_tx_commit();
   registry_.tx_exit(slot_.slot());
   return TxResult::kCommitted;

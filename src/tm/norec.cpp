@@ -145,6 +145,8 @@ TxResult NOrecThread::tx_commit() {
     rec_.response(ActionKind::kCommitted);
     tm_.stats().add(static_cast<std::size_t>(slot_.slot()),
                     Counter::kTxCommit);
+    tm_.stats().add(static_cast<std::size_t>(slot_.slot()),
+                    Counter::kTxReadOnlyCommit);
     trace_tx_commit();
     registry_.tx_exit(slot_.slot());
     return TxResult::kCommitted;

@@ -332,6 +332,10 @@ TxResult Tl2Thread::tx_commit() {
 
   rec_.response(ActionKind::kCommitted);
   tm_.stats().add(static_cast<std::size_t>(slot_.slot()), Counter::kTxCommit);
+  if (!wrote) {
+    tm_.stats().add(static_cast<std::size_t>(slot_.slot()),
+                    Counter::kTxReadOnlyCommit);
+  }
   trace_tx_commit();
   if (tm_.config().collect_timestamps) {
     tm_.log_stamp({thread_, txn_ordinal_, rver_, wver_, wver_minted_,

@@ -30,8 +30,6 @@
 
 #include "history/action.hpp"
 #include "history/recorder.hpp"
-#include "runtime/adaptive.hpp"
-#include "runtime/contention.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/global_clock.hpp"
 #include "runtime/quiescence.hpp"
@@ -385,12 +383,6 @@ class TmThread {
 
   ThreadId thread_id() const noexcept { return thread_; }
 
-  /// Per-session contention-manager state (backoff stream, abort streak,
-  /// karma) consumed by run_tx_retry; the *policy* is chosen per call via
-  /// TxRetryOptions, the state persists across calls so karma priority
-  /// reflects the session's whole abort history.
-  rt::ContentionManager& contention() noexcept { return cm_; }
-
   /// Reason and faulting stripe of this session's most recent abort.
   /// Maintained unconditionally — the abort slow path affords two plain
   /// stores — so attribution is inspectable with tracing off.
@@ -408,32 +400,6 @@ class TmThread {
 
   // run_tx_retry internals — public so the free-function retry helpers can
   // reach them; not part of the user-facing session API.
-
-  /// Count one contention-manager pause (Counter::kTxRetryBackoff).
-  void note_retry_backoff() noexcept {
-    stats_.add(stat_slot(), rt::Counter::kTxRetryBackoff);
-  }
-
-  /// Contention-manager wait between retry attempts, bracketed as a
-  /// "cm_backoff" trace span (spin count on the End event); counts
-  /// kTxRetryBackoff when a pause was actually taken. Returns the spins.
-  /// `exponent_cap` bounds the backoff window below the hard kMaxExponent
-  /// (the adaptive governor's storm-epoch tightening).
-  std::uint64_t cm_wait(rt::CmPolicy policy,
-                        std::uint32_t exponent_cap =
-                            rt::ContentionManager::kMaxExponent) noexcept {
-    if (trace_ != nullptr) {
-      trace_->emit(stat_slot(), rt::TraceEventKind::kCmBackoffBegin);
-    }
-    const std::uint64_t spins = cm_.on_abort(policy, exponent_cap);
-    if (trace_ != nullptr) {
-      trace_->emit(stat_slot(), rt::TraceEventKind::kCmBackoffEnd, 0,
-                   static_cast<std::uint32_t>(
-                       std::min<std::uint64_t>(spins, 0xFFFFFFFFu)));
-    }
-    if (spins != 0) note_retry_backoff();
-    return spins;
-  }
 
   /// Escalate this session into the irrevocable serial mode: close the
   /// serial gate (quiescence handshake drains in-flight optimistic
@@ -520,7 +486,6 @@ class TmThread {
   rt::TraceDomain* trace_;        ///< null when tracing is disabled
   FenceSession fencer_;
   TxHeap& heap_;  ///< the TM's shared heap (recorded tm_alloc/tm_free)
-  rt::ContentionManager cm_;
   AbortInfo last_abort_{};
   bool escalated_ = false;  ///< inside an escalate_enter/exit tenure
 };
@@ -658,11 +623,7 @@ inline TmThread::TmThread(TransactionalMemory& tm, ThreadId thread,
       trace_(tm.trace_ptr()),
       fencer_(tm.quiescence(), recorder, rec_, thread,
               static_cast<std::size_t>(slot_.slot()), fault_, trace_),
-      heap_(tm.heap()),
-      // Deterministic per-slot backoff stream: sessions on the same slot
-      // across runs draw identical pause sequences.
-      cm_(0x9e3779b97f4a7c15ULL +
-          static_cast<std::uint64_t>(slot_.slot())) {}
+      heap_(tm.heap()) {}
 
 // ---------------------------------------------------------------------------
 // Structured transaction helpers.
@@ -720,27 +681,20 @@ enum class TxRetryStatus : std::uint8_t {
   kGaveUp,     ///< max_attempts exhausted without a commit
 };
 
-/// Retry policy knobs for run_tx_retry (DESIGN.md §10).
+/// Retry knobs for run_tx_retry (DESIGN.md §10). There is one retry rule:
+/// a failed attempt retries at once, and past `escalate_after` failed
+/// attempts the loop enters the irrevocable serial mode. No pause between
+/// attempts — the serial gate, not a wait, is what guarantees progress.
 struct TxRetryOptions {
-  /// Inter-attempt wait policy (runtime/contention.hpp).
-  rt::CmPolicy policy = rt::CmPolicy::kBackoff;
   /// Total attempt budget, escalated attempts included; 0 = unbounded.
   /// With a bound, a persistently failing body (e.g. one that calls
   /// TxScope::abort every time) returns kGaveUp instead of spinning
-  /// forever — the pre-PR-6 unbounded-loop hazard.
+  /// forever.
   std::size_t max_attempts = 0;
-  /// Consecutive failed attempts before escalating to the irrevocable
-  /// serial mode (runtime/serial_gate.hpp); 0 = never escalate. The
-  /// default keeps legacy callers safe from livelock: past 64 failures a
+  /// Failed attempts before escalating to the irrevocable serial mode
+  /// (runtime/serial_gate.hpp); 0 = never escalate. Past 64 failures a
   /// symmetric conflict storm is no longer plausibly transient.
   std::size_t escalate_after = 64;
-  /// When set, the loop is *governed*: policy, escalate_after and the
-  /// backoff exponent cap come from the governor's live epoch decision,
-  /// re-read on every attempt (so an epoch boundary crossed mid-loop
-  /// redirects even the current retry sequence), and every commit/abort
-  /// feeds the governor's epoch accounting. The static fields above are
-  /// ignored while a governor is attached; max_attempts still applies.
-  rt::AdaptiveGovernor* governor = nullptr;
 };
 
 struct TxRetryResult {
@@ -753,83 +707,44 @@ struct TxRetryResult {
   }
 };
 
-/// Retry `body` under the session's contention manager until it commits,
-/// the attempt budget runs out (kGaveUp), or — past escalate_after failed
-/// attempts — by escalating into the irrevocable serial mode: the serial
-/// gate closes, in-flight optimistic transactions drain, and the body
-/// retries under global mutual exclusion (no backoff, fault injection
-/// suspended) until it commits or exhausts max_attempts. Escalated
-/// attempts run the backend's normal protocol, so their recorded histories
-/// go through the same opacity/DRF checkers as optimistic ones; the gate
-/// is reopened (demotion) before returning either way.
+/// Retry `body` at once until it commits, the attempt budget runs out
+/// (kGaveUp), or — past escalate_after failed attempts — by escalating
+/// into the irrevocable serial mode: the serial gate closes, in-flight
+/// optimistic transactions drain, and the body retries under global mutual
+/// exclusion (fault injection suspended) until it commits or exhausts
+/// max_attempts. Escalated attempts run the backend's normal protocol, so
+/// their recorded histories go through the same opacity/DRF checkers as
+/// optimistic ones; the gate is reopened (demotion) before returning
+/// either way.
 template <typename F>
 TxRetryResult run_tx_retry(TmThread& thread, F&& body,
                            const TxRetryOptions& options) {
-  rt::ContentionManager& cm = thread.contention();
-  rt::AdaptiveGovernor* const governor = options.governor;
   TxRetryResult result;
-  bool serial = false;
   for (std::size_t attempt = 1;; ++attempt) {
     result.attempts = attempt;
-    if (run_tx(thread, body) == TxResult::kCommitted) {
-      cm.on_commit();
-      if (governor != nullptr) governor->note_commit(thread.stat_slot());
-      break;
-    }
-    // Governed loops re-read the live epoch decision per attempt and feed
-    // the failed attempt's attribution back; static loops keep their
-    // TxRetryOptions verbatim.
-    rt::CmPolicy policy = options.policy;
-    std::size_t escalate_after = options.escalate_after;
-    std::uint32_t exponent_cap = rt::ContentionManager::kMaxExponent;
-    if (governor != nullptr) {
-      const TmThread::AbortInfo abort = thread.last_abort();
-      governor->note_abort(abort.reason, abort.stripe);
-      const rt::GovernorDecision d = governor->decision();
-      policy = d.policy;
-      escalate_after = d.escalate_after;
-      exponent_cap = d.exponent_cap;
-    }
+    if (run_tx(thread, body) == TxResult::kCommitted) break;
     if (options.max_attempts != 0 && attempt >= options.max_attempts) {
       result.status = TxRetryStatus::kGaveUp;
       break;
     }
-    if (serial) continue;  // gate held: retry immediately
-    if (escalate_after != 0 && attempt >= escalate_after) {
-      serial = true;
+    if (!result.escalated && options.escalate_after != 0 &&
+        attempt >= options.escalate_after) {
       result.escalated = true;
       thread.escalate_enter();
-      continue;
     }
-    thread.cm_wait(policy, exponent_cap);
   }
-  if (serial) thread.escalate_exit();
+  if (result.escalated) thread.escalate_exit();
   return result;
 }
 
-/// Retry until commit; returns the number of attempts. Legacy form — now a
-/// wrapper over the options-taking overload, so every raw retry loop in
-/// the repo picks up randomized backoff and the livelock escape hatch
-/// (default TxRetryOptions) without touching its call sites.
+/// Retry until commit under the default TxRetryOptions; returns the number
+/// of attempts. The short form every raw retry loop in the repo uses, so
+/// they all get the serial-gate escape hatch without touching their call
+/// sites.
 template <typename F>
 std::size_t run_tx_retry(TmThread& thread, F&& body) {
   return run_tx_retry(thread, std::forward<F>(body), TxRetryOptions{})
       .attempts;
-}
-
-/// Feed a backend's collected TxnStamp abort history into a contention
-/// manager as karma: each aborted stamp is one lost attempt of work, so a
-/// session resuming after a crash/handoff inherits the priority its losses
-/// earned (the karma policy's "fed by TxnStamp abort history" hook;
-/// exercised in tests/contention_test.cpp).
-inline std::uint64_t seed_karma_from_stamps(
-    rt::ContentionManager& cm, const std::vector<TxnStamp>& stamps) {
-  std::uint64_t lost = 0;
-  for (const TxnStamp& stamp : stamps) {
-    if (!stamp.committed) ++lost;
-  }
-  cm.add_karma(lost);
-  return lost;
 }
 
 // ---------------------------------------------------------------------------

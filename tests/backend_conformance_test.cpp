@@ -116,5 +116,36 @@ INSTANTIATE_TEST_SUITE_P(
              "_" + fence_variant_name(std::get<2>(info.param));
     });
 
+// Every backend tallies a commit that wrote nothing as read-only
+// (Counter::kTxReadOnlyCommit), so the read-only commit share means the
+// same thing whichever TM a report runs on.
+class BackendConformanceCounters : public ::testing::TestWithParam<TmKind> {
+};
+
+TEST_P(BackendConformanceCounters, ReadOnlyCommitsAreCountedAsReadOnly) {
+  auto tmi = tm::make_tm(GetParam(), tm::TmConfig{});
+  auto session = tmi->make_thread(0, nullptr);
+
+  // Two read-only transactions, one writer, then an explicit abort.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(tm::run_tx(*session, [](tm::TxScope& tx) { (void)tx.read(0); }),
+              tm::TxResult::kCommitted);
+  }
+  ASSERT_EQ(tm::run_tx(*session, [](tm::TxScope& tx) { tx.write(0, 1); }),
+            tm::TxResult::kCommitted);
+  ASSERT_EQ(tm::run_tx(*session, [](tm::TxScope& tx) { tx.abort(); }),
+            tm::TxResult::kAborted);
+
+  EXPECT_EQ(tmi->stats().total(rt::Counter::kTxCommit), 3u);
+  EXPECT_EQ(tmi->stats().total(rt::Counter::kTxReadOnlyCommit), 2u)
+      << tm::tm_kind_name(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTms, BackendConformanceCounters,
+                         ::testing::ValuesIn(tm::all_tm_kinds()),
+                         [](const auto& info) {
+                           return std::string(tm::tm_kind_name(info.param));
+                         });
+
 }  // namespace
 }  // namespace privstm

@@ -1,15 +1,13 @@
-// Contention management and irrevocable escalation (DESIGN.md §10).
+// The retry rule and irrevocable escalation (DESIGN.md §10).
 //
-// Covers, per ISSUE 6:
+// Covers:
 //  * the run_tx_retry unbounded-loop regression: a body that always calls
 //    TxScope::abort() must return TxRetryResult{kGaveUp, attempts} once
 //    max_attempts is exhausted instead of spinning forever;
-//  * the ContentionManager policies themselves (window bounds, karma
-//    discounting and decay, TxnStamp abort-history seeding);
 //  * the serial gate: closing it blocks rival transactions until demotion;
 //  * the starvation storm: a symmetric write-write conflict storm finishes
-//    within a bounded attempt budget under every policy on all four
-//    backends;
+//    within a bounded attempt budget on all four backends, retrying at
+//    once with the serial gate as the only escape hatch;
 //  * escalation under sustained injection: with every optimistic commit
 //    fault-aborted, the retry loop must escalate (kTxEscalated > 0) and
 //    the escalated attempt — injection suspended — must commit.
@@ -19,107 +17,20 @@
 #include <chrono>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
-#include "runtime/contention.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/serial_gate.hpp"
 #include "tm/factory.hpp"
-#include "tm/tl2.hpp"
 #include "tm/tm.hpp"
 
 namespace privstm {
 namespace {
 
-using rt::CmPolicy;
 using tm::TmConfig;
 using tm::TmKind;
 using tm::TxRetryOptions;
 using tm::TxRetryStatus;
-
-// ---------------------------------------------------------------------------
-// ContentionManager unit behavior (no TM involved).
-// ---------------------------------------------------------------------------
-
-TEST(ContentionManager, ImmediatePolicyNeverPauses) {
-  rt::ContentionManager cm(1);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(cm.on_abort(CmPolicy::kImmediate), 0u);
-  }
-  EXPECT_EQ(cm.total_aborts(), 20u);
-}
-
-TEST(ContentionManager, BackoffWindowsAreBoundedAndGrow) {
-  rt::ContentionManager cm(7);
-  std::uint64_t prev_bound = 0;
-  for (std::uint32_t k = 1; k <= 16; ++k) {
-    const std::uint64_t spins = cm.on_abort(CmPolicy::kBackoff);
-    const std::uint32_t exponent =
-        k < rt::ContentionManager::kMaxExponent
-            ? k
-            : rt::ContentionManager::kMaxExponent;
-    const std::uint64_t bound =
-        std::uint64_t{rt::ContentionManager::kUnitSpins} << exponent;
-    EXPECT_GE(spins, 1u) << "backoff must actually wait (attempt " << k << ")";
-    EXPECT_LE(spins, bound) << "window exceeded its bound (attempt " << k
-                            << ")";
-    EXPECT_GE(bound, prev_bound) << "windows must not shrink mid-streak";
-    prev_bound = bound;
-  }
-  cm.on_commit();
-  EXPECT_EQ(cm.streak(), 0u) << "commit must end the abort streak";
-}
-
-TEST(ContentionManager, KarmaPriorityDiscountsBackoff) {
-  // A session with massive accrued karma has log2 priority >= the exponent
-  // cap, so its pause is fully discounted: it retries immediately where a
-  // fresh session would wait.
-  rt::ContentionManager rich(11);
-  rich.add_karma(std::uint64_t{1} << 12);  // priority 12 > kMaxExponent
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(rich.on_abort(CmPolicy::kKarma), 0u)
-        << "high-karma session should not back off";
-  }
-
-  rt::ContentionManager fresh(11);
-  std::uint64_t fresh_total = 0;
-  for (int i = 0; i < 8; ++i) fresh_total += fresh.on_abort(CmPolicy::kKarma);
-  EXPECT_GT(fresh_total, 0u)
-      << "a fresh session under karma must still yield the window";
-
-  // Karma decays on commit, so priority tracks recent losses.
-  const std::uint64_t before = rich.karma();
-  rich.on_commit();
-  EXPECT_EQ(rich.karma(), before / 2);
-}
-
-TEST(ContentionManager, SeededFromTl2TxnStampAbortHistory) {
-  // The karma policy's feed: replay a backend's collected TxnStamp log and
-  // credit one karma point per aborted stamp (tm::seed_karma_from_stamps).
-  TmConfig config;
-  config.collect_timestamps = true;
-  tm::Tl2 tl2(config);
-  auto session = tl2.make_thread(0, nullptr);
-
-  const int kAborts = 3;
-  const int kCommits = 2;
-  for (int i = 0; i < kAborts; ++i) {
-    const tm::TxResult r =
-        tm::run_tx(*session, [](tm::TxScope& tx) { tx.abort(); });
-    ASSERT_EQ(r, tm::TxResult::kAborted);
-  }
-  for (int i = 0; i < kCommits; ++i) {
-    tm::run_tx(*session, [](tm::TxScope& tx) { tx.write(0, 1); });
-  }
-
-  rt::ContentionManager cm(3);
-  const std::uint64_t fed =
-      tm::seed_karma_from_stamps(cm, tl2.timestamp_log());
-  EXPECT_EQ(fed, static_cast<std::uint64_t>(kAborts))
-      << "every aborted stamp is one lost attempt of work";
-  EXPECT_EQ(cm.karma(), static_cast<std::uint64_t>(kAborts));
-}
 
 // ---------------------------------------------------------------------------
 // run_tx_retry: the bounded-budget regression and the serial gate.
@@ -134,7 +45,6 @@ TEST_P(ContentionAllTms, PersistentlyFailingBodyGivesUp) {
   auto session = tmi->make_thread(0, nullptr);
 
   TxRetryOptions options;
-  options.policy = CmPolicy::kImmediate;
   options.max_attempts = 5;
   options.escalate_after = 0;  // never escalate: pure budget exhaustion
   const tm::TxRetryResult result = tm::run_tx_retry(
@@ -186,7 +96,6 @@ TEST_P(ContentionAllTms, GiveUpBelowEscalationThresholdSkipsSerialGate) {
   auto session = tmi->make_thread(0, nullptr);
 
   TxRetryOptions options;
-  options.policy = CmPolicy::kImmediate;
   options.max_attempts = 3;
   options.escalate_after = 5;
   const tm::TxRetryResult result = tm::run_tx_retry(
@@ -207,7 +116,6 @@ TEST_P(ContentionAllTms, MaxAttemptsEqualEscalateAfterNeverEscalates) {
   auto session = tmi->make_thread(0, nullptr);
 
   TxRetryOptions options;
-  options.policy = CmPolicy::kImmediate;
   options.max_attempts = 4;
   options.escalate_after = 4;
   const tm::TxRetryResult result = tm::run_tx_retry(
@@ -228,7 +136,6 @@ TEST_P(ContentionAllTms, GiveUpOnFirstEscalatedAttemptStillDemotes) {
   auto session = tmi->make_thread(0, nullptr);
 
   TxRetryOptions options;
-  options.policy = CmPolicy::kImmediate;
   options.max_attempts = 3;
   options.escalate_after = 2;
   const tm::TxRetryResult result = tm::run_tx_retry(
@@ -293,7 +200,6 @@ TEST_P(ContentionAllTms, EscalationFiresUnderSustainedInjection) {
   auto session = tmi->make_thread(0, nullptr);
 
   TxRetryOptions options;
-  options.policy = CmPolicy::kImmediate;
   options.escalate_after = 4;
   const tm::TxRetryResult result = tm::run_tx_retry(
       *session, [](tm::TxScope& tx) { tx.write(0, 42); }, options);
@@ -316,15 +222,14 @@ INSTANTIATE_TEST_SUITE_P(AllTms, ContentionAllTms,
 
 // ---------------------------------------------------------------------------
 // The starvation storm (satellite): symmetric write-write conflicts on a
-// shared TxVar set must finish within a bounded attempt budget under every
-// policy, on all four backends.
+// shared TxVar set must finish within a bounded attempt budget on all four
+// backends.
 // ---------------------------------------------------------------------------
 
-class StarvationStorm
-    : public ::testing::TestWithParam<std::tuple<TmKind, CmPolicy>> {};
+class StarvationStorm : public ::testing::TestWithParam<TmKind> {};
 
 TEST_P(StarvationStorm, SymmetricIncrementStormTerminatesWithinBudget) {
-  const auto [kind, policy] = GetParam();
+  const TmKind kind = GetParam();
   constexpr int kThreads = 4;
   constexpr int kIncrementsPerThread = 25;
   constexpr std::size_t kVars = 4;
@@ -340,7 +245,6 @@ TEST_P(StarvationStorm, SymmetricIncrementStormTerminatesWithinBudget) {
     threads.emplace_back([&, t] {
       auto session = tmi->make_thread(t, nullptr);
       TxRetryOptions options;
-      options.policy = policy;
       options.max_attempts = kBudget;
       for (int i = 0; i < kIncrementsPerThread; ++i) {
         // Every thread reads and rewrites the same registers: maximal
@@ -366,8 +270,7 @@ TEST_P(StarvationStorm, SymmetricIncrementStormTerminatesWithinBudget) {
   for (auto& th : threads) th.join();
 
   EXPECT_FALSE(over_budget.load())
-      << tm::tm_kind_name(kind) << " under " << rt::cm_policy_name(policy)
-      << " blew the " << kBudget << "-attempt budget";
+      << tm::tm_kind_name(kind) << " blew the " << kBudget << "-attempt budget";
   for (std::size_t r = 0; r < kVars; ++r) {
     EXPECT_EQ(tmi->peek(static_cast<tm::RegId>(r)),
               kThreads * kIncrementsPerThread)
@@ -386,7 +289,7 @@ TEST_P(StarvationStorm, InjectedStormEscalatesAndStaysCoherent) {
   // rate and a small escalation threshold, concurrent sessions must fall
   // back to the serial mode (kTxEscalated > 0), and the escalations —
   // interleaved with surviving optimistic commits — must not lose updates.
-  const auto [kind, policy] = GetParam();
+  const TmKind kind = GetParam();
   constexpr int kThreads = 4;
   constexpr int kIncrementsPerThread = 25;
 
@@ -402,7 +305,6 @@ TEST_P(StarvationStorm, InjectedStormEscalatesAndStaysCoherent) {
     threads.emplace_back([&, t] {
       auto session = tmi->make_thread(t, nullptr);
       TxRetryOptions options;
-      options.policy = policy;
       options.escalate_after = 4;
       for (int i = 0; i < kIncrementsPerThread; ++i) {
         const tm::TxRetryResult result = tm::run_tx_retry(
@@ -422,22 +324,18 @@ TEST_P(StarvationStorm, InjectedStormEscalatesAndStaysCoherent) {
   EXPECT_FALSE(tmi->serial_gate().closed());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTmsAllPolicies, StarvationStorm,
-    ::testing::Combine(::testing::ValuesIn(tm::all_tm_kinds()),
-                       ::testing::Values(CmPolicy::kImmediate,
-                                         CmPolicy::kBackoff,
-                                         CmPolicy::kKarma)),
-    [](const auto& info) {
-      return std::string(tm::tm_kind_name(std::get<0>(info.param))) + "_" +
-             rt::cm_policy_name(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllTms, StarvationStorm,
+                         ::testing::ValuesIn(tm::all_tm_kinds()),
+                         [](const auto& info) {
+                           return std::string(tm::tm_kind_name(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Termination of the legacy retry under a sustained multi-site fault storm
 // (acceptance criterion b): every wrapper caller in the repo inherits the
-// backoff + escalation defaults, so even continuous injection cannot hang
-// the loop. The test's own completion is the assertion.
+// default rule — retry at once, then the serial gate — so even continuous
+// injection cannot hang the loop, with no pause between attempts. The
+// test's own completion is the assertion.
 // ---------------------------------------------------------------------------
 
 class RetryUnderInjection : public ::testing::TestWithParam<TmKind> {};
